@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
 import numpy as np
 
-import repro._compat as _compat
 from repro.arrays.aggregate import aggregate_dense, aggregate_sparse_multi
 from repro.arrays.chunking import BlockPartition
 from repro.arrays.dense import DEFAULT_DTYPE, DenseArray
@@ -111,39 +110,6 @@ class PWriteBack:
 
 
 PStep = PLocalAggregate | PFinalize | PWriteBack
-
-
-#: Deprecation shims that have already warned -- an alias of the shared
-#: ``repro._compat`` once-per-process state (cleared by
-#: ``repro._compat.reset_warnings``); kept under the historical name for
-#: callers that reset it here.
-_DEPRECATED_WARNED = _compat._WARNED
-
-
-def _warn_once(old: str, new: str) -> None:
-    _compat.deprecated(
-        old,
-        instead=new,
-        since="1.6.0",
-        removal="2.0.0",
-        extra="schedule construction moved to the repro.sched scheduler registry",
-        once=True,
-        stacklevel=4,
-    )
-
-
-def parallel_schedule(n: int, tree: Any = None) -> list[PStep]:
-    """Deprecated alias of :func:`repro.sched.fig5.fig5_schedule`.
-
-    Schedule construction now lives with the scheduler implementations in
-    :mod:`repro.sched`; this shim warns once per process and delegates.
-    """
-    _warn_once(
-        "repro.core.parallel.parallel_schedule", "repro.sched.fig5_schedule"
-    )
-    from repro.sched.fig5 import fig5_schedule
-
-    return fig5_schedule(n, tree=tree)
 
 
 # -- result container ----------------------------------------------------------------
@@ -397,9 +363,6 @@ def make_fig5_program(
             )
         return written
 
-    # Mark the factory as a cube build so run_spmd can steer direct callers
-    # to the repro.exec backend registry (one-release deprecation).
-    setattr(program, "_cube_program", True)
     return program
 
 
@@ -706,7 +669,6 @@ def _make_program_ft(
             )
         return written
 
-    setattr(program, "_cube_program", True)
     # Replayable from the checkpoint store: the supervised process backend
     # may respawn a crashed rank running this program (a plain program would
     # recompute sends its peers already consumed).

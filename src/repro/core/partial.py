@@ -40,7 +40,6 @@ from repro.core.parallel import (
     ParallelResult,
     PFinalize,
     PLocalAggregate,
-    PStep,
     PWriteBack,
     construct_cube_parallel,
 )
@@ -75,25 +74,6 @@ def required_closure(targets: Iterable[Sequence[int]], n: int) -> set[Node]:
             needed.add(node)
             node = tree.parent(node)
     return needed
-
-
-def pruned_parallel_schedule(
-    n: int, targets: Iterable[Sequence[int]]
-) -> list[PStep]:
-    """Deprecated alias of :func:`repro.sched.marginals.pruned_schedule`.
-
-    Schedule construction now lives with the scheduler implementations in
-    :mod:`repro.sched`; this shim warns once per process and delegates.
-    """
-    from repro.core.parallel import _warn_once
-
-    _warn_once(
-        "repro.core.partial.pruned_parallel_schedule",
-        "repro.sched.pruned_schedule",
-    )
-    from repro.sched.marginals import pruned_schedule
-
-    return pruned_schedule(n, targets)
 
 
 def partial_comm_volume(

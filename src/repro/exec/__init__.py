@@ -25,6 +25,10 @@ vocabulary.  Three ship with the package:
   ``spawn_ranks`` calls); fault surface is
   :data:`THREAD_FAULT_KINDS` (no ``crash_op``: threads share one fate).
 
+The two wall-clock backends share one op loop,
+:func:`repro.exec.interp.interpret_rank`; each passes in only its barrier,
+its start-of-run clock alignment, and its per-op and terminal hooks.
+
 Because all backends drive the *same* generator program, the arithmetic
 (including the order of floating-point accumulation in reductions) is
 identical, and results are bit-for-bit the same across backends.  Select
@@ -42,8 +46,9 @@ What robustness options a backend accepts is capability-declared
 
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import PROCESS_FAULT_KINDS, THREAD_FAULT_KINDS, ChaosAgent
+from repro.exec.interp import WorkerError
 from repro.exec.pool import PoolClosed, PoolTask, WorkerPool
-from repro.exec.process import ProcessBackend, WorkerError
+from repro.exec.process import ProcessBackend
 from repro.exec.registry import (
     BACKENDS,
     available_backends,

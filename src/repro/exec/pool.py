@@ -11,7 +11,7 @@ Design points that the pool-reuse tests pin:
 - a task that raises does **not** kill its worker; the exception is
   re-raised in the submitter when it waits, and the pool stays usable
   (this is what makes ``close()`` clean after a failed build or a
-  :class:`~repro.exec.process.WorkerError`);
+  :class:`~repro.exec.interp.WorkerError`);
 - every finished task records which worker thread ran it
   (:attr:`PoolTask.worker_ident`), so tests can prove that two builds on
   one pool really reused the same live threads;

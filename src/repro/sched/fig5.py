@@ -3,10 +3,8 @@
 This is the schedule previously hardwired into
 :func:`repro.core.parallel.construct_cube_parallel`, extracted verbatim so
 it is one registered strategy among several.  :func:`fig5_schedule` is the
-canonical home of the step-list construction (the old
-``repro.core.parallel.parallel_schedule`` import keeps working through a
-deprecation shim), and :class:`Fig5Scheduler` wraps it in the
-:class:`~repro.sched.base.Scheduler` protocol.  The rank program is built
+home of the step-list construction, and :class:`Fig5Scheduler` wraps it in
+the :class:`~repro.sched.base.Scheduler` protocol.  The rank program is built
 by the exact same code path as before the split, so output stays
 bit-identical (pinned by the golden regression test).
 """

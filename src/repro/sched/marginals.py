@@ -58,13 +58,11 @@ def pruned_schedule(n: int, targets: Iterable[Sequence[int]]) -> "list[PStep]":
     """The Fig 5 schedule restricted to the targets' ancestral closure.
 
     Nodes in the closure but not targeted are computed, used, and then
-    discarded (freed without a disk write).  This is the canonical home of
-    what ``repro.core.partial.pruned_parallel_schedule`` used to build;
-    the old import keeps working through a deprecation shim.
+    discarded (freed without a disk write).
     """
     # Imported here, not at module top: repro.core.partial imports this
-    # module lazily for its shim, and the step dataclasses live with the
-    # interpreter in repro.core.parallel.
+    # module lazily, and the step dataclasses live with the interpreter in
+    # repro.core.parallel.
     from repro.core.parallel import (
         PFinalize,
         PLocalAggregate,

@@ -241,7 +241,6 @@ class ShuffleScheduler(Scheduler):
                 )
             return written
 
-        setattr(program, "_cube_program", True)
         return program
 
     # -- declared invariants ------------------------------------------------

@@ -21,7 +21,6 @@ MODULES = [
     "repro.analysis.model.lifetime",
     "repro.analysis.model.ops",
     "repro.analysis.model.programs",
-    "repro._compat",
     "repro.analysis.repo_gate",
     "repro.analysis.verify_plan",
     "repro.arrays",
@@ -78,6 +77,7 @@ MODULES = [
     "repro.exec",
     "repro.exec.base",
     "repro.exec.chaos",
+    "repro.exec.interp",
     "repro.exec.pool",
     "repro.exec.process",
     "repro.exec.registry",
@@ -164,36 +164,9 @@ def test_curated_top_level_exports(name):
     assert hasattr(repro, name)
 
 
-def test_deprecated_query_answer_warns():
-    from repro.olap import query
-
-    with pytest.warns(DeprecationWarning, match="QueryAnswer is deprecated"):
-        cls = query.QueryAnswer
-    from repro.olap.query import QueryResult
-
-    assert cls is QueryResult
-
-
-def test_deprecated_engine_methods_warn():
-    import numpy as np
-
-    from repro.olap import DataCube, GroupByQuery, QueryEngine, Schema
-
-    schema = Schema.simple(a=3, b=2)
-    cube = DataCube.build(schema, np.ones(schema.shape))
-    engine = QueryEngine(cube)
-    q = GroupByQuery(group_by=("a",))
-    with pytest.warns(DeprecationWarning, match="answer is deprecated"):
-        result = engine.answer(q)
-    with pytest.warns(DeprecationWarning, match="served_from is deprecated"):
-        assert result.served_from == result.served_by
-    with pytest.warns(DeprecationWarning, match="answer_many is deprecated"):
-        engine.answer_many([q])
-
-
 def test_importing_packages_stays_silent():
-    # The deprecated names must resolve lazily: a plain import of the olap
-    # package (or access to its modern names) must not emit warnings.
+    # A plain import of the packages (or access to their names) must not
+    # emit warnings.
     import subprocess
     import sys
 
@@ -230,49 +203,50 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "1.9.0"
+    assert repro.__version__ == match.group(1) == "2.0.0"
 
 
-def test_deprecated_shims_warn_exactly_once_and_match_execute():
-    # The 1.1 rename kept answer/answer_many/served_from as shims; each call
-    # must emit exactly one DeprecationWarning and return values identical
-    # to the modern spelling.
-    import warnings
+#: Names deleted in v2.0.0, as ``(module, attribute path)``; ``None``
+#: means the module itself is gone.
+REMOVED_IN_2_0 = [
+    ("repro._compat", None),
+    ("repro.core.parallel", "parallel_schedule"),
+    ("repro.core.parallel", "_DEPRECATED_WARNED"),
+    ("repro.core.partial", "pruned_parallel_schedule"),
+    ("repro.cluster.runtime", "_DIRECT_CUBE_BUILD_KEY"),
+    ("repro.olap", "QueryAnswer"),
+    ("repro.olap.query", "QueryAnswer"),
+    ("repro.olap.query", "QueryEngine.answer"),
+    ("repro.olap.query", "QueryEngine.answer_many"),
+    ("repro.olap.query", "QueryResult.served_from"),
+    ("repro.exec", "Backend.send"),
+    ("repro.exec", "Backend.recv"),
+    ("repro.exec", "Backend.barrier"),
+    ("repro.exec", "Backend.reduce_to_lead"),
+]
 
-    import numpy as np
 
-    from repro.olap import DataCube, GroupByQuery, QueryEngine, Schema
+@pytest.mark.parametrize(
+    "module, attr",
+    REMOVED_IN_2_0,
+    ids=[f"{m}.{a}" if a else m for m, a in REMOVED_IN_2_0],
+)
+def test_removed_in_2_0(module, attr):
+    if attr is None:
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+        return
+    # Resolve the owner outside the raises-block so a typo in the table
+    # fails loudly instead of passing as "removed".
+    owner = importlib.import_module(module)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    with pytest.raises(AttributeError):
+        getattr(owner, name)
 
-    schema = Schema.simple(a=4, b=3)
-    cube = DataCube.build(schema, np.arange(12, dtype=float).reshape(4, 3))
-    q = GroupByQuery(group_by=("a",))
-    expected = QueryEngine(cube).execute(q)
 
-    engine = QueryEngine(cube)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = engine.answer(q)
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, "one warning per answer() call"
-    assert "use execute()" in str(dep[0].message)
-    assert np.array_equal(result.values, expected.values)
-    assert result.served_by == expected.served_by
-    assert result.cells_scanned == expected.cells_scanned
-    assert result.is_fallback == expected.is_fallback
+def test_run_spmd_has_no_backend_route_flag():
+    from repro.cluster.runtime import run_spmd
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        many = engine.answer_many([q, q])
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, "one warning per answer_many() call, not per query"
-    assert len(many) == 2
-    for r in many:
-        assert np.array_equal(r.values, expected.values)
-        assert r.served_by == expected.served_by
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = result.served_from
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, "one warning per served_from access"
-    assert legacy == result.served_by
+    assert "_via_backend" not in inspect.signature(run_spmd).parameters

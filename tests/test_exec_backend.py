@@ -1,37 +1,42 @@
 """Unit tests for the execution-backend subsystem (:mod:`repro.exec`).
 
-Covers the registry, the deprecation shim on direct ``run_spmd`` cube
-builds, the :class:`TimeoutPolicy` abstraction, construction-time
-``BuildConfig`` validation, the shared-memory input arena, and the
-process backend's guard rails.  Cross-backend result parity lives in
+Covers the registry, the :class:`TimeoutPolicy` abstraction,
+construction-time ``BuildConfig`` validation, the shared-memory input
+arena, the process backend's guard rails, and the op contract of the
+real-clock interpreter both wall-clock backends share.  Cross-backend result parity lives in
 ``test_backend_parity.py``.
 """
 
-import warnings
+import time
 
 import numpy as np
 import pytest
 
 from repro.arrays.dense import DenseArray
 from repro.arrays.sparse import SparseArray
+from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
 from repro.cluster.runtime import (
     MONOTONIC_TIMEOUTS,
+    RECV_TIMEOUT,
     SIMULATED_TIMEOUTS,
     BarrierOp,
     ComputeOp,
+    DiskReadOp,
+    DiskWriteOp,
     RecvOp,
     SendOp,
+    SleepOp,
     TimeoutPolicy,
-    run_spmd,
 )
 from repro.core.config import BuildConfig
-from repro.core.parallel import construct_cube_parallel, make_fig5_program
+from repro.core.parallel import construct_cube_parallel
 from repro.exec import (
     Backend,
     ProcessBackend,
     SharedInputArena,
     SimBackend,
+    ThreadBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -66,69 +71,6 @@ class TestRegistry:
     def test_register_backend_validates_name(self):
         with pytest.raises(ValueError):
             register_backend("", SimBackend)
-
-
-# -- deprecation of direct run_spmd cube builds ---------------------------------------
-
-
-def _cube_program_factory():
-    from repro.arrays.measures import SUM
-    from repro.cluster.topology import ProcessorGrid
-    from repro.core.parallel import _extract_local_inputs
-    from repro.sched import fig5_schedule
-
-    data = DenseArray.full_cube_input(np.arange(32, dtype=float).reshape(8, 4))
-    grid = ProcessorGrid((1, 0))
-    return make_fig5_program(
-        fig5_schedule(2), grid, _extract_local_inputs(data, grid),
-        2, "flat", SUM, None,
-    )
-
-
-class TestRunSpmdDeprecation:
-    def _reset_latch(self, monkeypatch):
-        from repro import _compat
-        from repro.cluster.runtime import _DIRECT_CUBE_BUILD_KEY
-
-        _compat._WARNED.discard(_DIRECT_CUBE_BUILD_KEY)
-
-    def test_direct_cube_build_warns_exactly_once(self, monkeypatch):
-        self._reset_latch(monkeypatch)
-        program = _cube_program_factory()
-        with pytest.warns(DeprecationWarning, match="run_spmd directly"):
-            run_spmd(2, program)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_spmd(2, program)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ], "the deprecation warning must fire once per process"
-
-    def test_backend_route_does_not_warn(self, monkeypatch):
-        self._reset_latch(monkeypatch)
-        program = _cube_program_factory()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            SimBackend().spawn_ranks(2, program)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_generic_spmd_programs_do_not_warn(self, monkeypatch):
-        self._reset_latch(monkeypatch)
-
-        def program(env):
-            if env.rank == 0:
-                yield SendOp(dst=1, tag=0, payload=np.ones(4))
-            else:
-                yield RecvOp(src=0, tag=0)
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_spmd(2, program)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
 
 
 # -- TimeoutPolicy ---------------------------------------------------------------------
@@ -332,3 +274,84 @@ class TestProcessBackend:
     def test_backend_repr(self):
         assert "process" in repr(ProcessBackend())
         assert isinstance(get_backend("sim"), Backend)
+
+
+# -- real-clock interpreter op contract ------------------------------------------------
+
+
+def _every_op_program(env):
+    """Yield each op kind once (the send is duplicated by the fault plan).
+
+    The short sleeps in program code keep the measured compute/disk
+    intervals strictly positive, so their trace events always appear.
+    """
+    time.sleep(0.002)
+    yield ComputeOp(element_ops=10.0 * (env.rank + 1))
+    result = None
+    if env.rank == 0:
+        yield SendOp(dst=1, tag=5, payload=np.arange(4, dtype=float))
+    else:
+        first = yield RecvOp(src=0, tag=5)
+        second = yield RecvOp(src=0, tag=5)
+        late = yield RecvOp(src=0, tag=9, timeout=0.1)
+        result = (float(first.sum() + second.sum()), late is RECV_TIMEOUT)
+    time.sleep(0.002)
+    yield DiskWriteOp(nbytes=64 * (env.rank + 1))
+    time.sleep(0.002)
+    yield DiskReadOp(nbytes=16 * (env.rank + 1))
+    yield SleepOp(seconds=0.01)
+    yield BarrierOp()
+    return result
+
+
+class TestRealClockOpContract:
+    """Both real-clock backends interpret every op kind identically."""
+
+    EXPECTED_TRACE = {
+        0: [
+            ("compute", None, None, None),
+            ("send", 1, 5, 32),
+            ("fault", 1, 5, 32),
+            ("disk", None, None, None),
+            ("disk", None, None, None),
+            ("wait", None, None, None),
+            ("barrier", None, None, None),
+        ],
+        1: [
+            ("compute", None, None, None),
+            ("recv", 0, 5, 32),
+            ("recv", 0, 5, 32),
+            ("wait", 0, 9, None),
+            ("fault", 0, 9, None),
+            ("disk", None, None, None),
+            ("disk", None, None, None),
+            ("wait", None, None, None),
+            ("barrier", None, None, None),
+        ],
+    }
+
+    @pytest.mark.parametrize("backend_cls", [ThreadBackend, ProcessBackend])
+    def test_every_op_kind(self, backend_cls):
+        plan = FaultPlan(seed=3).duplicate_messages(1.0)
+        metrics = backend_cls().spawn_ranks(
+            2, _every_op_program, record_trace=True, faults=plan
+        )
+        for rank, expected in self.EXPECTED_TRACE.items():
+            got = [
+                (ev.kind, ev.peer, ev.tag, ev.nbytes)
+                for ev in metrics.trace
+                if ev.rank == rank
+            ]
+            assert got == expected, rank
+        assert metrics.rank_results == [None, (12.0, True)]
+        assert metrics.rank_compute_ops == [10.0, 20.0]
+        assert metrics.rank_disk_bytes_written == [64, 128]
+        assert metrics.rank_disk_bytes_read == [16, 32]
+        assert metrics.comm.total_messages == 2
+        assert metrics.comm.total_elements == 8
+        assert sorted(
+            (ev.kind, ev.rank, ev.detail) for ev in metrics.faults.events
+        ) == [
+            ("duplicate", 0, "0->1 tag 5 (32B)"),
+            ("timeout", 1, "recv from 0 tag 9"),
+        ]
