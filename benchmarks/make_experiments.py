@@ -214,7 +214,8 @@ machine-readable record is `benchmarks/results/BENCH_sched.json`.""",
         "T-model — model-checker certification (extension)",
         """Static-analysis extension beyond the paper: the rank-program
 model checker (`repro.analysis.model`) consumes every scheduler's
-symbolic instruction streams and certifies the protocol rather than
+instruction streams, recorded from its real rank program (`derive(s)`
+is that recording), and certifies the protocol rather than
 spot-checking it.  Asserted always: every scheduler is deadlock-free
 with zero diagnostics at every sweep point (exhaustive interleaving
 exploration with persistent-set reduction, never near the state cap),

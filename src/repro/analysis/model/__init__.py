@@ -1,8 +1,9 @@
 """Rank-program model checker (the MC3xx rules).
 
-Consumes any registered scheduler's symbolic op streams
-(``Scheduler.symbolic_ops``) and proves -- or refutes with a
-counterexample -- three families of properties:
+Consumes any registered scheduler's op streams (``Scheduler.symbolic_ops``),
+which :mod:`.record` records by running the scheduler's real rank program,
+and proves -- or refutes with a counterexample -- three families of
+properties:
 
 - **happens-before** (:mod:`.hb`): vector-clock race detection on
   channels, barrier completeness, causal acyclicity (MC301/303/304),
@@ -46,13 +47,8 @@ from repro.analysis.model.ops import (
     MRecv,
     MSend,
     ModelProgram,
-    from_comm_schedule,
     seed_model_defect,
     truncate_at,
-)
-from repro.analysis.model.programs import (
-    fig5_model_program,
-    shuffle_model_program,
 )
 
 __all__ = [
@@ -75,11 +71,8 @@ __all__ = [
     "check_program",
     "crosscheck_trace",
     "explore",
-    "fig5_model_program",
-    "from_comm_schedule",
     "hb_from_trace",
     "parse_kill",
     "seed_model_defect",
-    "shuffle_model_program",
     "truncate_at",
 ]

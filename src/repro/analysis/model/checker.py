@@ -2,7 +2,8 @@
 
 :func:`check_model` ties the three analyses together for one plan:
 
-1. build the scheduler's symbolic streams (``Scheduler.symbolic_ops``);
+1. record the scheduler's streams from its real rank program
+   (``Scheduler.symbolic_ops``);
 2. happens-before construction and race checks (MC301/303/304);
 3. exhaustive interleaving exploration (MC302/305/306), certifying
    deadlock freedom when it completes clean;
@@ -89,7 +90,7 @@ class ModelCheckResult:
         for name, res in self.scenarios:
             lines.append(f"explore [{name}]: {res.summary()}")
         highs = self.lifetime.rank_high_water
-        source = "ledger scan" if self.lifetime.from_ledger else "symbolic peaks"
+        source = "ledger scan" if self.lifetime.from_ledger else "no ledger"
         lines.append(
             f"memory ({source}): per-rank high-water "
             f"{list(highs)} elements, max "
@@ -200,7 +201,7 @@ def check_program(
     )
     res = explore(prog, max_states=max_states)
     report.extend(res.diagnostics)
-    if prog.has_memory_events() or prog.fallback_peaks is not None:
+    if prog.has_memory_events():
         lifetime = analyze_lifetime(
             prog,
             declared_bound_elements=declared_bound_elements,

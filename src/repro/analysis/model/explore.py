@@ -33,10 +33,10 @@ heartbeat receive is blocked in a stuck state, its sender is provably
 dead or finished and the message can never arrive.
 
 **Faults.** ``kill=(rank, op_index)`` truncates that rank's stream, the
-static counterpart of a crash at that point.  (FT programs built by
-:func:`~repro.analysis.model.programs.fig5_model_program` bake the kill
-into the streams themselves, including each survivor's *perceived* dead
-set; plain programs are truncated here.)
+static counterpart of a crash at that point.  (Streams recorded with a
+kill by :func:`~repro.analysis.model.record.record` bake it in already,
+including each survivor's *perceived* dead set; here the other streams
+are left whole.)
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ class LifetimeResult:
 
     #: Per-rank high-water, in elements.
     rank_high_water: tuple[int, ...]
-    #: True when the profile came from alloc/free streams; False when it
-    #: fell back on the scheduler's symbolic peaks (no ledger available).
+    #: True when the profile came from alloc/free streams; False only for
+    #: the empty profile ``check_program`` gives a program without one.
     from_ledger: bool
     diagnostics: list[Diagnostic]
     #: Keys still live at end-of-stream per rank (empty for clean
@@ -98,17 +98,10 @@ def analyze_lifetime(
                         current -= size
             highs.append(high)
             leaked.append(tuple(sorted(live, key=repr)))
-        from_ledger = True
         rank_high_water = tuple(highs)
-        leaked_t = tuple(leaked)
-    elif prog.fallback_peaks is not None:
-        from_ledger = False
-        rank_high_water = prog.fallback_peaks
-        leaked_t = tuple(() for _ in range(prog.num_ranks))
     else:
         raise ValueError(
-            "program carries no alloc/free ledger and no fallback peaks; "
-            "nothing to analyze"
+            "program carries no alloc/free ledger; nothing to analyze"
         )
 
     if declared_bound_elements is not None:
@@ -144,7 +137,7 @@ def analyze_lifetime(
                 )
     return LifetimeResult(
         rank_high_water=rank_high_water,
-        from_ledger=from_ledger,
+        from_ledger=True,
         diagnostics=diags,
-        leaked=leaked_t,
+        leaked=tuple(leaked),
     )

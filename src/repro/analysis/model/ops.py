@@ -1,21 +1,18 @@
-"""The model checker's op vocabulary: per-rank symbolic instruction streams.
+"""The model checker's op vocabulary: per-rank instruction streams.
 
 Where :class:`~repro.analysis.verify_plan.CommSchedule` is a *global* list
 of symbolic operations (good for multiset matching), the model checker
-needs each rank's **program order**: an abstract interpretation of the
-generator rank program as a straight-line stream of sends, receives,
-barriers, and memory-ledger events.  :class:`ModelProgram` holds one such
-stream per rank; :mod:`repro.analysis.model.hb` derives the happens-before
-relation from it, :mod:`repro.analysis.model.explore` executes it under
-every relevant interleaving, and :mod:`repro.analysis.model.lifetime`
-scans it for the per-rank memory high-water.
+needs each rank's **program order**: the generator rank program as a
+straight-line stream of sends, receives, barriers, and memory-ledger
+events.  :class:`ModelProgram` holds one such stream per rank;
+:mod:`repro.analysis.model.hb` derives the happens-before relation from
+it, :mod:`repro.analysis.model.explore` executes it under every relevant
+interleaving, and :mod:`repro.analysis.model.lifetime` scans it for the
+per-rank memory high-water.
 
-Every registered scheduler provides its streams through the
-``Scheduler.symbolic_ops`` hook; :func:`from_comm_schedule` is the default
-implementation (a projection of ``enumerate_comm``), while the built-in
-schedulers override the hook with exact builders
-(:mod:`repro.analysis.model.programs`) that also carry the alloc/free
-ledger their real programs maintain.
+Every scheduler provides its streams through ``Scheduler.symbolic_ops``,
+which records them by running the scheduler's real rank program
+(:mod:`repro.analysis.model.record`), alloc/free ledger included.
 
 :func:`seed_model_defect` mutates a clean program one defect class at a
 time; the property tests prove every MC rule actually fires on its class.
@@ -36,7 +33,6 @@ __all__ = [
     "MRecv",
     "MSend",
     "ModelProgram",
-    "from_comm_schedule",
     "seed_model_defect",
     "truncate_at",
 ]
@@ -105,7 +101,7 @@ MOp = MSend | MRecv | MBarrier | MAlloc | MFree
 
 @dataclass
 class ModelProgram:
-    """One scheduler's abstract rank programs, in per-rank program order."""
+    """One scheduler's rank programs as streams, in per-rank program order."""
 
     shape: tuple[int, ...]
     bits: tuple[int, ...]
@@ -113,10 +109,6 @@ class ModelProgram:
     streams: tuple[tuple[MOp, ...], ...]
     #: Spec of the scheduler the streams model (``"fig5"``, ``"shuffle"``).
     scheduler: str = "fig5"
-    #: Per-rank symbolic memory peaks to fall back on when the streams
-    #: carry no alloc/free events (the default ``symbolic_ops`` projection
-    #: of an ``enumerate_comm`` schedule loses the ledger).
-    fallback_peaks: tuple[int, ...] | None = None
     #: Fault scenario the streams were built for (``(rank, op_index)``), if
     #: any; purely descriptive.
     kill: tuple[int, int] | None = None
@@ -136,62 +128,6 @@ class ModelProgram:
         return any(
             isinstance(op, (MAlloc, MFree)) for s in self.streams for op in s
         )
-
-
-def from_comm_schedule(
-    sched: object,
-    scheduler: str = "fig5",
-    timeout_tags: frozenset[int] = frozenset(),
-) -> ModelProgram:
-    """Project a global :class:`CommSchedule` onto per-rank streams.
-
-    The list order of ``enumerate_comm`` output is each rank's program
-    order (the enumerators walk the schedule the way the rank programs
-    do), so a stable projection preserves it.  Barriers fan out to every
-    participant; receives whose tag is in ``timeout_tags`` are marked
-    timeout-capable (the detection-round heartbeats).  Memory events are
-    not reconstructible from a comm schedule -- the symbolic per-rank
-    peaks ride along as :attr:`ModelProgram.fallback_peaks` instead.
-    """
-    from repro.analysis.verify_plan import (
-        CommSchedule,
-        SymBarrier,
-        SymRecv,
-        SymSend,
-    )
-
-    if not isinstance(sched, CommSchedule):
-        raise TypeError(f"expected a CommSchedule, got {type(sched).__name__}")
-    streams: list[list[MOp]] = [[] for _ in range(sched.num_ranks)]
-    for op in sched.ops:
-        if isinstance(op, SymSend):
-            streams[op.src].append(
-                MSend(op.src, op.dst, op.tag, op.elements, op.step, op.edge)
-            )
-        elif isinstance(op, SymRecv):
-            streams[op.rank].append(
-                MRecv(
-                    op.rank,
-                    op.src,
-                    op.tag,
-                    op.step,
-                    op.edge,
-                    timeout=op.tag in timeout_tags,
-                )
-            )
-        elif isinstance(op, SymBarrier):
-            for rank in op.ranks:
-                streams[rank].append(MBarrier(rank, op.step))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown symbolic op {op!r}")
-    return ModelProgram(
-        shape=sched.shape,
-        bits=sched.bits,
-        num_ranks=sched.num_ranks,
-        streams=tuple(tuple(s) for s in streams),
-        scheduler=scheduler,
-        fallback_peaks=tuple(sched.rank_peak_memory_elements),
-    )
 
 
 def truncate_at(prog: ModelProgram, kill: tuple[int, int]) -> ModelProgram:
@@ -217,7 +153,6 @@ def truncate_at(prog: ModelProgram, kill: tuple[int, int]) -> ModelProgram:
         num_ranks=prog.num_ranks,
         streams=tuple(streams),
         scheduler=prog.scheduler,
-        fallback_peaks=prog.fallback_peaks,
         kill=kill,
     )
 
@@ -334,6 +269,5 @@ def seed_model_defect(prog: ModelProgram, kind: str) -> ModelProgram:
         num_ranks=prog.num_ranks,
         streams=tuple(tuple(s) for s in streams),
         scheduler=prog.scheduler,
-        fallback_peaks=prog.fallback_peaks,
         kill=prog.kill,
     )

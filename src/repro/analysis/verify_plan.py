@@ -1,11 +1,13 @@
 """Static SPMD protocol verification (before anything runs).
 
-Given a partition (``bits``) and an aggregation-tree plan, this module
-*symbolically* enumerates the communication schedule that
+Given a partition (``bits``) and a scheduler, this module records the
+communication schedule that
 :func:`repro.core.parallel.construct_cube_parallel` would execute -- every
-send, receive, and barrier, with exact element counts -- without running
-the simulator.  The enumeration is then checked against the protocol
-invariants the scheduler would otherwise only discover dynamically (as a
+send, receive, and barrier, with exact element counts -- by running the
+scheduler's real rank program on fact-free blocks
+(:mod:`repro.analysis.model.record`), without the simulator or any data.
+The schedule is then checked against the protocol invariants the
+scheduler would otherwise only discover dynamically (as a
 ``DeadlockError`` at depth) and against the paper's closed forms:
 
 - every send has exactly one matching receive, posted to the correct lead
@@ -29,17 +31,9 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.arrays.chunking import grid_block_lengths, portion_elements
 from repro.cluster.topology import ProcessorGrid
-from repro.core.comm_model import total_comm_volume
 from repro.core.lattice import Node
-from repro.core.memory_model import parallel_memory_bound_exact
-from repro.core.parallel import (
-    PFinalize,
-    PLocalAggregate,
-    PStep,
-    PWriteBack,
-)
+from repro.core.parallel import PStep
 
 __all__ = [
     "CommSchedule",
@@ -53,10 +47,6 @@ __all__ = [
     "verify_plan",
     "verify_schedule",
 ]
-
-#: Tag of the failure-detection heartbeats (mirrors ``repro.core.parallel``).
-_HB_TAG = 1
-
 
 # -- symbolic operations ----------------------------------------------------
 
@@ -133,84 +123,24 @@ def enumerate_comm_schedule(
     schedule: Sequence[PStep] | None = None,
     detection_round: bool = False,
 ) -> CommSchedule:
-    """Symbolically execute the Fig 5 plan; no simulator, no data.
+    """Record the Fig 5 program's communication; no simulator, no data.
 
-    Mirrors :func:`repro.core.parallel.make_fig5_program` exactly: for every
-    ``PFinalize`` step, each reduction group's non-leads send their partial
-    (sized by the lead's portion of the child) to the lead, tagged with the
-    step index; the lead receives in group order.  ``detection_round=True``
-    prepends the fault-tolerant program's failure-detection phase (one
-    global barrier plus all-to-all heartbeats) so barrier/heartbeat
-    protocols are verifiable too.
-
-    Also tracks the held-results memory ledger per rank (alloc on local
-    aggregation, free on ship-away/write-back), yielding the symbolic
-    per-rank peaks that Theorem 4 bounds.
+    Runs the real rank program of ``schedule`` (default: the full Fig 5
+    schedule) on fact-free blocks -- :func:`repro.core.parallel.make_fig5_program`,
+    or the fault-tolerant program (one global barrier plus all-to-all
+    heartbeats before the reductions) with ``detection_round=True`` -- and
+    returns every send, receive and barrier it posts, in the order they
+    ran, with exact element counts.  The per-rank peaks of its held-results
+    ledger are the ones Theorem 4 bounds.
     """
-    shape = tuple(shape)
-    bits = tuple(bits)
-    if len(shape) != len(bits):
-        raise ValueError("shape and bits must have equal length")
-    n = len(shape)
-    grid = ProcessorGrid(bits)
-    lengths = grid_block_lengths(shape, grid.parts)
-    labels = [grid.label(r) for r in range(grid.size)]
+    from repro.analysis.model.record import fig5_program, record
+
     if schedule is None:
         from repro.sched.fig5 import fig5_schedule
 
-        schedule = fig5_schedule(n)
-
-    ops: list[SymOp] = []
-    current = [0] * grid.size
-    peak = [0] * grid.size
-
-    if detection_round:
-        ops.append(SymBarrier(tuple(range(grid.size)), step=-1))
-        for src in range(grid.size):
-            for dst in range(grid.size):
-                if dst != src:
-                    ops.append(SymSend(src, dst, _HB_TAG, 0, step=-1))
-        for rank in range(grid.size):
-            for src in range(grid.size):
-                if src != rank:
-                    ops.append(SymRecv(rank, src, _HB_TAG, step=-1))
-
-    for step_idx, step in enumerate(schedule):
-        if isinstance(step, PLocalAggregate):
-            for rank in range(grid.size):
-                if not grid.holds_node(rank, step.node):
-                    continue
-                for child in step.children:
-                    current[rank] += portion_elements(child, labels[rank], lengths)
-                peak[rank] = max(peak[rank], current[rank])
-        elif isinstance(step, PFinalize):
-            if grid.parts[step.dim] == 1:
-                continue  # dimension not partitioned: already final
-            for lead in grid.holders(step.child):
-                group = grid.reduction_group(lead, step.dim)
-                elements = portion_elements(step.child, labels[lead], lengths)
-                for member in group[1:]:
-                    ops.append(
-                        SymSend(member, lead, step_idx, elements, step=step_idx, edge=step.child)
-                    )
-                for member in group[1:]:
-                    ops.append(SymRecv(lead, member, step_idx, step=step_idx, edge=step.child))
-                    current[member] -= elements
-        elif isinstance(step, PWriteBack):
-            for rank in range(grid.size):
-                if not grid.holds_node(rank, step.node):
-                    continue
-                current[rank] -= portion_elements(step.node, labels[rank], lengths)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
-
-    return CommSchedule(
-        shape=shape,
-        bits=bits,
-        num_ranks=grid.size,
-        ops=ops,
-        rank_peak_memory_elements=peak,
-    )
+        schedule = fig5_schedule(len(shape))
+    factory = fig5_program(schedule, shape, bits, detection_round=detection_round)
+    return record(factory, shape, bits).comm_schedule()
 
 
 # -- protocol verification --------------------------------------------------
@@ -389,103 +319,60 @@ def verify_plan(
 ) -> PlanVerification:
     """Statically verify a partition + scheduler plan.
 
-    Runs every protocol check of :func:`verify_schedule` on the enumerated
-    schedule, then checks the closed forms: the enumerated element volume
-    must equal the scheduler's declared volume exactly -- Theorem 3 for the
-    default ``fig5`` schedule -- (SPMD006), and the symbolic per-rank
+    Runs every protocol check of :func:`verify_schedule` on the schedule
+    recorded from the scheduler's rank program, then checks the closed
+    forms: the recorded element volume must equal the scheduler's declared
+    volume exactly -- Theorem 3 for ``fig5`` -- (SPMD006), and the per-rank
     memory peak must stay within the scheduler's declared memory bound --
     Theorem 1/4 for ``fig5`` -- (SPMD007).
 
-    ``scheduler`` selects whose communication schedule to enumerate (a
-    registered spec or :class:`~repro.sched.base.Scheduler` instance);
-    it is mutually exclusive with the fig5-specific ``schedule`` override
-    and ``detection_round``.
+    ``scheduler`` selects whose program to record (a registered spec or
+    :class:`~repro.sched.base.Scheduler` instance; default ``fig5``).  An
+    explicit Fig 5 ``schedule`` (exempt from SPMD006, since a custom
+    schedule claims no closed form) or ``detection_round`` (the
+    fault-tolerant program) must be options the scheduler accepts; others
+    raise its :meth:`~repro.sched.base.Scheduler.validate_options` error.
     """
+    from repro.sched import resolve_scheduler
+
     shape = tuple(shape)
     bits = tuple(bits)
-
-    is_fig5 = scheduler is None or (isinstance(scheduler, str) and scheduler == "fig5")
-    if not is_fig5:
-        if schedule is not None or detection_round:
-            raise ValueError(
-                "scheduler= is mutually exclusive with the fig5-specific "
-                "schedule= and detection_round= overrides"
-            )
-        from repro.sched import resolve_scheduler
-
-        sched_obj = resolve_scheduler(scheduler)
-        sched_obj.validate_shape(shape)
-        sym = sched_obj.enumerate_comm(shape, bits)
-        report = DiagnosticReport(verify_schedule(sym))
-        spec = sched_obj.spec
-        closed_form = sched_obj.declared_volume(shape, bits)
-        if sym.total_elements != closed_form:
-            report.add(
-                Diagnostic(
-                    "SPMD006",
-                    f"enumerated volume {sym.total_elements} != scheduler "
-                    f"{spec!r}'s declared closed form {closed_form}",
-                    hint="the scheduler's program and its declared_volume "
-                    "disagree on some edge's portion size",
-                )
-            )
-        bound = sched_obj.declared_memory_bound(shape, bits)
-        peak = sym.max_peak_memory_elements
-        if peak > bound:
-            worst = max(range(sym.num_ranks), key=lambda r: sym.rank_peak_memory_elements[r])
-            report.add(
-                Diagnostic(
-                    "SPMD007",
-                    f"symbolic peak {peak} elements on rank {worst} exceeds "
-                    f"scheduler {spec!r}'s declared memory bound {bound}",
-                    rank=worst,
-                    hint="free partials as soon as they are shipped or "
-                    "written back, or raise the declared bound",
-                )
-            )
-        return PlanVerification(
-            schedule=sym,
-            report=report,
-            predicted_volume_elements=sym.total_elements,
-            closed_form_volume_elements=closed_form,
-            predicted_peak_memory_elements=peak,
-            memory_bound_elements=bound,
-            scheduler=spec,
+    sched_obj = resolve_scheduler("fig5" if scheduler is None else scheduler)
+    sched_obj.validate_shape(shape)
+    if schedule is not None or detection_round:
+        sched_obj.validate_options(checkpoint=detection_round, schedule=schedule)
+        sym = enumerate_comm_schedule(
+            shape, bits, schedule=schedule, detection_round=detection_round
         )
-
-    default_schedule = schedule is None
-    sym = enumerate_comm_schedule(
-        shape,
-        bits,
-        schedule=schedule,
-        detection_round=detection_round,
-    )
+    else:
+        sym = sched_obj.enumerate_comm(shape, bits)
     report = DiagnosticReport(verify_schedule(sym))
 
-    closed_form = total_comm_volume(shape, bits)
-    if default_schedule and sym.total_elements != closed_form:
+    spec = sched_obj.spec
+    closed_form = sched_obj.declared_volume(shape, bits)
+    if schedule is None and sym.total_elements != closed_form:
         report.add(
             Diagnostic(
                 "SPMD006",
-                f"enumerated volume {sym.total_elements} != Theorem 3 closed "
-                f"form {closed_form}",
-                hint="the schedule finalizes some child on the wrong edge or "
-                "with the wrong portion size",
+                f"enumerated volume {sym.total_elements} != scheduler "
+                f"{spec!r}'s declared closed form {closed_form}",
+                hint="the scheduler's program and its declared_volume "
+                "disagree on some edge's portion size",
             )
         )
 
-    bound = parallel_memory_bound_exact(shape, bits)
+    bound = sched_obj.declared_memory_bound(shape, bits)
     peak = sym.max_peak_memory_elements
     if peak > bound:
         worst = max(range(sym.num_ranks), key=lambda r: sym.rank_peak_memory_elements[r])
         report.add(
             Diagnostic(
                 "SPMD007",
-                f"symbolic peak {peak} elements on rank {worst} exceeds the "
-                f"Theorem 4 bound {bound}",
+                f"symbolic peak {peak} elements on rank {worst} exceeds "
+                f"scheduler {spec!r}'s declared memory bound {bound}",
                 rank=worst,
-                hint="free non-lead partials right after they are shipped and "
-                "write nodes back as soon as their last child is finalized",
+                hint="free partials as soon as they are shipped or "
+                "written back, or raise the declared bound",
             )
         )
 
@@ -496,6 +383,7 @@ def verify_plan(
         closed_form_volume_elements=closed_form,
         predicted_peak_memory_elements=peak,
         memory_bound_elements=bound,
+        scheduler=spec,
     )
 
 

@@ -48,11 +48,10 @@ def grid_block_lengths(shape: Sequence[int], parts: Sequence[int]) -> list[list[
     """Per-dimension block lengths, indexed by the label coordinate.
 
     ``out[d][c]`` is the length of dimension ``d``'s block ``c`` under the
-    balanced split into ``parts[d]`` pieces.  This is the one shared home
-    of the split arithmetic that the static plan verifier, the scheduler
-    enumerations, and the model checker all rely on being *identical* --
-    the symbolic element counts are exact only because every consumer
-    derives portions from the same boundaries.
+    balanced split into ``parts[d]`` pieces -- the same boundaries
+    :class:`BlockPartition` cuts, so closed forms computed from them (such
+    as the shuffle scheduler's declared memory bound) agree exactly with
+    the portions the rank programs hold.
     """
     return [
         block_lengths(s, m) for s, m in zip(shape, parts, strict=True)

@@ -11,9 +11,12 @@ the real-process backend interpret it.
 
 Each scheduler also *declares* its analytical invariants -- a closed-form
 (or exactly computed) communication volume and a per-rank memory bound --
-so :func:`repro.analysis.verify_plan.verify_plan` can check the statically
-enumerated schedule against the scheduler's own claims, the same way the
-Fig 5 schedule is checked against the paper's Theorem 3 and Theorem 4.
+so :func:`repro.analysis.verify_plan.verify_plan` can check the schedule
+against the scheduler's own claims, the same way the Fig 5 schedule is
+checked against the paper's Theorem 3 and Theorem 4.  The schedule those
+checks read is recorded from the scheduler's own rank program
+(:mod:`repro.analysis.model.record`), so communication must depend only on
+shape, bits and options -- never on the values being aggregated.
 
 Concrete schedulers register under a name (:mod:`repro.sched.registry`):
 
@@ -52,7 +55,8 @@ class Scheduler(abc.ABC):
     """Strategy object that plans one parallel cube construction.
 
     Subclasses set :attr:`name` (the registry family name), implement the
-    four planning methods, and may override :meth:`validate_options` /
+    three abstract methods (:meth:`rank_program`, :meth:`declared_volume`,
+    :meth:`declared_memory_bound`), and may override :meth:`validate_options` /
     :meth:`validate_shape` to reject option combinations their program
     cannot honor -- at configuration time, before any work starts.
     """
@@ -109,16 +113,22 @@ class Scheduler(abc.ABC):
 
     # -- declared invariants ------------------------------------------------
 
-    @abc.abstractmethod
     def enumerate_comm(
         self, shape: Sequence[int], bits: Sequence[int]
     ) -> "CommSchedule":
-        """Symbolically enumerate every send/recv the program will post.
+        """Every send/recv the program posts, recorded from :meth:`rank_program`.
 
-        The result feeds :func:`repro.analysis.verify_plan.verify_schedule`
-        (SPMD001-005) and is checked against :meth:`declared_volume` and
+        The per-rank streams of :meth:`symbolic_ops`, flattened in the
+        order the recorder ran them.  The result feeds
+        :func:`repro.analysis.verify_plan.verify_schedule` (SPMD001-005)
+        and is checked against :meth:`declared_volume` and
         :meth:`declared_memory_bound` (SPMD006/007).
         """
+        from repro.analysis.model.record import program_for, record
+
+        return record(
+            program_for(self, shape, bits), shape, bits, scheduler=self.spec
+        ).comm_schedule()
 
     def symbolic_ops(
         self,
@@ -128,32 +138,22 @@ class Scheduler(abc.ABC):
         detection_round: bool = False,
         kill: tuple[int, int] | None = None,
     ) -> "ModelProgram":
-        """Per-rank symbolic instruction streams for the model checker.
+        """Per-rank model streams, recorded by running :meth:`rank_program`.
 
-        The returned :class:`~repro.analysis.model.ops.ModelProgram` must
-        reflect the requested scenario: ``detection_round`` selects the
-        fault-tolerant program (heartbeats + timeout receives), ``kill``
-        crashes one rank at a model-op index.  The default implementation
-        projects :meth:`enumerate_comm` onto per-rank streams -- program
-        order is the enumeration order, which holds for every built-in
-        enumerator -- and truncates for ``kill``; it cannot model
-        ``detection_round`` (only ``fig5`` has a fault-tolerant program).
-        Built-in schedulers override this with exact builders that also
-        carry the alloc/free ledger, enabling the MC307 lifetime check.
+        ``detection_round`` records the fault-tolerant program (heartbeats
+        with timeout receives); schedulers that cannot honor
+        ``checkpoint=True`` reject it through :meth:`validate_options`.
+        ``kill=(rank, op)`` ends that rank after ``op`` model ops, and each
+        survivor runs on with whatever its own receives observed.
         """
-        if detection_round:
-            raise ValueError(
-                f"scheduler {self.spec!r} has no fault-tolerant program to "
-                f"model; detection_round applies to 'fig5' only"
-            )
-        from repro.analysis.model.ops import from_comm_schedule, truncate_at
+        from repro.analysis.model.record import program_for, record
 
-        prog = from_comm_schedule(
-            self.enumerate_comm(shape, bits), scheduler=self.spec
+        factory = program_for(
+            self, shape, bits, detection_round=detection_round
         )
-        if kill is not None:
-            prog = truncate_at(prog, kill)
-        return prog
+        return record(
+            factory, shape, bits, scheduler=self.spec, kill=kill
+        ).program
 
     @abc.abstractmethod
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:

@@ -24,8 +24,6 @@ from repro.core.memory_model import parallel_memory_bound_exact
 from repro.sched.base import ProgramFactory, Scheduler
 
 if TYPE_CHECKING:
-    from repro.analysis.model.ops import ModelProgram
-    from repro.analysis.verify_plan import CommSchedule
     from repro.core.parallel import PStep
 
 
@@ -97,42 +95,6 @@ class Fig5Scheduler(Scheduler):
             measure,
             max_message_elements,
         )
-
-    def enumerate_comm(
-        self, shape: Sequence[int], bits: Sequence[int]
-    ) -> "CommSchedule":
-        """The existing symbolic Fig 5 enumeration."""
-        from repro.analysis.verify_plan import enumerate_comm_schedule
-
-        return enumerate_comm_schedule(shape, bits)
-
-    def symbolic_ops(
-        self,
-        shape: Sequence[int],
-        bits: Sequence[int],
-        *,
-        detection_round: bool = False,
-        kill: tuple[int, int] | None = None,
-    ) -> "ModelProgram":
-        """Exact per-rank streams, including the alloc/free ledger.
-
-        ``detection_round`` models the fault-tolerant program (barrier,
-        heartbeats with timeout receives, virtual-rank routing); with
-        ``kill`` it also rebuilds each survivor's stream from its own
-        perception of the death.  A ``kill`` without ``detection_round``
-        crashes a rank in the *plain* program (the MC306 scenario).
-        """
-        from repro.analysis.model.ops import truncate_at
-        from repro.analysis.model.programs import fig5_model_program
-
-        if detection_round:
-            return fig5_model_program(
-                shape, bits, detection_round=True, kill=kill
-            )
-        prog = fig5_model_program(shape, bits)
-        if kill is not None:
-            prog = truncate_at(prog, kill)
-        return prog
 
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
         """Theorem 3's closed form ``V = sum_j (2^k_j - 1) c_j``."""

@@ -172,32 +172,56 @@ class TestDefectProperty:
 
 class TestClosedFormRules:
     def test_volume_mismatch_fires_spmd006(self, monkeypatch):
-        import importlib
+        from repro.sched.fig5 import Fig5Scheduler
 
-        vp = importlib.import_module("repro.analysis.verify_plan")
-        monkeypatch.setattr(vp, "total_comm_volume", lambda shape, bits: -1)
+        monkeypatch.setattr(
+            Fig5Scheduler, "declared_volume", lambda self, shape, bits: -1
+        )
         v = verify_plan((4, 4), (1, 1))
         assert not v.ok
         assert [d.rule for d in v.report.errors] == ["SPMD006"]
 
     def test_memory_bound_excess_fires_spmd007(self, monkeypatch):
-        import importlib
+        from repro.sched.fig5 import Fig5Scheduler
 
-        vp = importlib.import_module("repro.analysis.verify_plan")
-        monkeypatch.setattr(vp, "parallel_memory_bound_exact", lambda shape, bits: 0)
+        monkeypatch.setattr(
+            Fig5Scheduler, "declared_memory_bound", lambda self, shape, bits: 0
+        )
         v = verify_plan((4, 4), (1, 1))
         assert not v.ok
         assert [d.rule for d in v.report.errors] == ["SPMD007"]
         assert v.report.errors[0].rank is not None
 
     def test_custom_schedule_skips_volume_claim(self):
-        from repro.sched import fig5_schedule
+        from repro.sched.marginals import pruned_schedule
 
-        # A truncated schedule moves less data than the full cube; that is
+        # A pruned schedule moves less data than the full cube; that is
         # legal for run_partial-style plans, so SPMD006 must not fire.
-        schedule = fig5_schedule(2)[:1]
+        # (It must still be a schedule the real program can run to the
+        # end: the verifier records that program.)
+        schedule = pruned_schedule(2, [(0,)])
         v = verify_plan((4, 4), (1, 1), schedule=schedule)
+        assert v.predicted_volume_elements < total_comm_volume((4, 4), (1, 1))
         assert all(d.rule != "SPMD006" for d in v.report)
+
+
+class TestDetectionRoundScheduler:
+    @pytest.mark.parametrize("how", ["spec", "instance"])
+    def test_fig5_by_spec_or_instance(self, how):
+        from repro.sched import get_scheduler
+
+        scheduler = "fig5" if how == "spec" else get_scheduler("fig5")
+        v = verify_plan(
+            (8, 6, 4), (1, 1, 1), detection_round=True, scheduler=scheduler
+        )
+        assert v.ok, v.describe()
+        assert v.scheduler == "fig5"
+        assert any(isinstance(op, SymBarrier) for op in v.schedule.ops)
+
+    @pytest.mark.parametrize("spec", ["shuffle", "marginals-1"])
+    def test_other_schedulers_raise_their_capability_error(self, spec):
+        with pytest.raises(ValueError, match="checkpoint=True"):
+            verify_plan((8, 6, 4), (1, 1, 1), detection_round=True, scheduler=spec)
 
 
 class TestScheduleShape:

@@ -20,7 +20,7 @@ MODULES = [
     "repro.analysis.model.hb",
     "repro.analysis.model.lifetime",
     "repro.analysis.model.ops",
-    "repro.analysis.model.programs",
+    "repro.analysis.model.record",
     "repro.analysis.repo_gate",
     "repro.analysis.verify_plan",
     "repro.arrays",
@@ -203,7 +203,7 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "2.0.0"
+    assert repro.__version__ == match.group(1) == "2.1.0"
 
 
 #: Names deleted in v2.0.0, as ``(module, attribute path)``; ``None``
@@ -226,12 +226,19 @@ REMOVED_IN_2_0 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "module, attr",
-    REMOVED_IN_2_0,
-    ids=[f"{m}.{a}" if a else m for m, a in REMOVED_IN_2_0],
-)
-def test_removed_in_2_0(module, attr):
+#: Names deleted in v2.1.0, when the model streams started being recorded
+#: from the real rank programs instead of hand-written mirrors.
+REMOVED_IN_2_1 = [
+    ("repro.analysis.model.programs", None),
+    ("repro.analysis.model", "fig5_model_program"),
+    ("repro.analysis.model", "shuffle_model_program"),
+    ("repro.analysis.model", "from_comm_schedule"),
+    ("repro.analysis.model.ops", "from_comm_schedule"),
+    ("repro.analysis.model.ops", "ModelProgram.fallback_peaks"),
+]
+
+
+def _assert_removed(module, attr):
     if attr is None:
         with pytest.raises(ImportError):
             importlib.import_module(module)
@@ -244,6 +251,25 @@ def test_removed_in_2_0(module, attr):
         owner = getattr(owner, part)
     with pytest.raises(AttributeError):
         getattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    REMOVED_IN_2_0,
+    ids=[f"{m}.{a}" if a else m for m, a in REMOVED_IN_2_0],
+)
+def test_removed_in_2_0(module, attr):
+    _assert_removed(module, attr)
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    REMOVED_IN_2_1,
+    ids=[f"{m}.{a}" if a else m for m, a in REMOVED_IN_2_1],
+)
+def test_removed_in_2_1(module, attr):
+    _assert_removed(module, attr)
+    assert (attr or module).rsplit(".", 1)[-1] not in repro.__all__
 
 
 def test_run_spmd_has_no_backend_route_flag():

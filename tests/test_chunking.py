@@ -200,16 +200,24 @@ class TestSharedSplitArithmetic:
                 assert portion_elements(dims, label, lengths) == inline
 
     def test_verify_plan_and_scheduler_share_the_helpers(self):
-        # The dedup is structural, not accidental: both modules import
-        # the shared helpers rather than re-deriving the arithmetic.
+        # The dedup is structural, not accidental.  verify_plan derives no
+        # portion sizes of its own: it records the real rank programs on
+        # blocks cut by the runtime's BlockPartition.  The shuffle
+        # scheduler's declared bound imports the shared helpers.
         import importlib
         import inspect
 
         # importlib avoids the function re-exported by the package
         # __init__ shadowing the submodule of the same name.
-        vp_mod = importlib.import_module("repro.analysis.verify_plan")
-        shuffle_mod = importlib.import_module("repro.sched.shuffle")
-
-        for mod in (vp_mod, shuffle_mod):
-            src = inspect.getsource(mod)
-            assert "grid_block_lengths" in src or "portion_elements" in src
+        vp_src = inspect.getsource(
+            importlib.import_module("repro.analysis.verify_plan")
+        )
+        record_src = inspect.getsource(
+            importlib.import_module("repro.analysis.model.record")
+        )
+        shuffle_src = inspect.getsource(
+            importlib.import_module("repro.sched.shuffle")
+        )
+        assert "split_points" not in vp_src and "block_lengths" not in vp_src
+        assert "BlockPartition" in record_src
+        assert "grid_block_lengths" in shuffle_src

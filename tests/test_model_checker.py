@@ -50,6 +50,26 @@ class TestCheckModel:
         assert "MC306" in {d.rule for d in result.report.diagnostics}
         assert "NOT certified" in result.certificate()
 
+    def test_death_before_its_heartbeat_is_detected(self):
+        # Rank 1 dies after the barrier but before its heartbeat: rank 0
+        # times out, adopts it, and finishes.  (The adopter then holds two
+        # ranks' partials, above the fault-free bound, hence MC307.)
+        result = check_model(
+            (4, 4, 4), (1, 0, 0), detection_round=True, kill=(1, 4)
+        )
+        assert result.exploration.certified, result.certificate()
+        assert result.exploration.timeouts_fired == 1
+        assert "MC306" not in {d.rule for d in result.report.diagnostics}
+
+    def test_death_after_its_heartbeat_deadlocks(self):
+        # One op later the heartbeat has been sent: rank 0 believes rank 1
+        # alive and waits forever for its partial.
+        result = check_model(
+            (4, 4, 4), (1, 0, 0), detection_round=True, kill=(1, 5)
+        )
+        assert not result.certified
+        assert "MC306" in {d.rule for d in result.report.diagnostics}
+
     def test_mem_cap_below_peak_fires_mc307(self):
         clean = check_model(SHAPE, BITS)
         peak = clean.lifetime.max_high_water_bytes

@@ -280,9 +280,10 @@ class TestVerifyPlanSchedulerMode:
     def test_scheduler_exclusive_with_fig5_overrides(self):
         from repro.analysis import verify_plan
 
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        # Each override is rejected by the scheduler's own validate_options.
+        with pytest.raises(ValueError, match="checkpoint=True"):
             verify_plan((8, 4), (1, 1), scheduler="shuffle", detection_round=True)
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        with pytest.raises(ValueError, match="tree/schedule"):
             verify_plan(
                 (8, 4), (1, 1), scheduler="shuffle", schedule=fig5_schedule(2)
             )
